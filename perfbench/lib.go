@@ -150,8 +150,7 @@ func runLib(ctx context.Context, cfg config, spec libSpec, tr *tracer) (*outcome
 		return nil, err
 	}
 
-	var lastEvent time.Time
-	m.Subscribe(func(dynmis.Event) { lastEvent = time.Now() })
+	lastEvent := eventClock(m)
 
 	var (
 		res      libTimed
@@ -189,9 +188,9 @@ func runLib(ctx context.Context, cfg config, spec libSpec, tr *tracer) (*outcome
 		readsBefore := res.readTime
 		var adj int
 		if spec.window == 0 {
-			adj = res.applyEach(ctx, m, chunk, cfg, segStart, &lastEvent, &lastRead, st, seg)
+			adj = res.applyEach(ctx, m, chunk, cfg, segStart, lastEvent, &lastRead, st, seg)
 		} else {
-			adj = res.driveWindows(ctx, m, chunk, spec.window, cfg, segStart, &lastEvent, &lastRead, st, seg)
+			adj = res.driveWindows(ctx, m, chunk, spec.window, cfg, segStart, lastEvent, &lastRead, st, seg)
 		}
 		st.end(seg)
 		segWall := time.Since(segStart) - (res.readTime - readsBefore)
@@ -263,6 +262,15 @@ func runLib(ctx context.Context, cfg config, spec libSpec, tr *tracer) (*outcome
 		return nil, err
 	}
 	return out, nil
+}
+
+// eventClock subscribes to m's change feed and returns the arrival time of
+// its latest event. A subscriber turns on the engine's event assembly, so
+// the timed phase and every probe that compares with it attach one.
+func eventClock(m *dynmis.Maintainer) *time.Time {
+	last := new(time.Time)
+	m.Subscribe(func(dynmis.Event) { *last = time.Now() })
+	return last
 }
 
 // applyEach applies chunk one change per Apply call until the timed

@@ -28,13 +28,14 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"sort"
 	"syscall"
 	"time"
 )
 
 // config is one invocation's settings. The defaults are the full-size
-// workloads; tests shrink n, the chunk sizes and the offered rate.
+// workloads; tests shrink n and the chunk and batch sizes.
 type config struct {
 	workload string
 	seed     uint64
@@ -51,19 +52,17 @@ type config struct {
 	sample  int           // changes the traced run's layer probes replay
 	readGap time.Duration // lib: one MIS() read per this much timed work
 
-	rate      float64 // serve: offered changes/s
-	batch     int     // serve: changes per POST /v1/changes
-	readEvery int     // serve: every readEvery-th slot is a GET /v1/mis
+	batch     int // serve: changes per POST /v1/changes
+	readEvery int // serve: every readEvery-th slot is a GET /v1/mis
 }
 
 func defaultConfig() config {
 	return config{
 		n:         100_000,
-		setups:    5,
+		setups:    9,
 		chunk:     4096,
 		sample:    32768,
 		readGap:   20 * time.Millisecond,
-		rate:      servedRate,
 		batch:     256,
 		readEvery: 8,
 	}
@@ -129,11 +128,10 @@ func main() {
 	)
 	flag.StringVar(&cfg.workload, "workload", "", "workload: lib-powerlaw, lib-geometric-window or serve-powerlaw")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "input seed")
-	flag.Float64Var(&seconds, "seconds", 45, "length of the timed phase in seconds")
+	flag.Float64Var(&seconds, "seconds", 20, "length of the timed phase in seconds")
 	flag.IntVar(&trace, "trace", 0, "1: traced run reporting per-layer metrics")
 	flag.StringVar(&cfg.root, "root", ".", "root of the dynmis checkout")
 	flag.StringVar(&cfg.work, "work", ".bench_build", "scratch directory for binaries, WALs and span files")
-	flag.Float64Var(&cfg.rate, "rate", servedRate, "serve-powerlaw offered changes/s; a rate the daemon cannot reach makes the loop closed, which is how the default was calibrated")
 	flag.Parse()
 	if trace != 0 && trace != 1 {
 		fmt.Fprintln(os.Stderr, "perfbench: --trace must be 0 or 1")
@@ -148,7 +146,9 @@ func main() {
 	// CPUs with a mark and windows that do not, and flips by half from seed
 	// to seed. Collecting a quarter as often keeps marks well below 1% of
 	// the calls. Every commit runs with the same setting; dynmisd children
-	// keep their own default.
+	// keep their own default. The library p99s are therefore not the tails
+	// of a default-GOGC process; the traced run's per-layer allocation
+	// figures keep an allocation regression visible.
 	debug.SetGCPercent(harnessGOGC)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -211,13 +211,13 @@ func run(ctx context.Context, cfg config) (*result, error) {
 	for _, line := range out.notes {
 		fmt.Println("#", line)
 	}
-	names := make([]string, 0, len(metrics))
-	for name := range metrics {
+	names := make([]string, 0, len(out.metrics))
+	for name := range out.metrics {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		m := metrics[name]
+		m := out.metrics[name]
 		fmt.Printf("# %-34s %14.4f %s\n", name, m.Value, m.Unit)
 	}
 	return &result{Correct: true, Attempted: out.attempted, Failed: out.failed, Metrics: metrics}, nil
@@ -230,3 +230,10 @@ func nproc() int { return runtime.GOMAXPROCS(0) }
 // collectGarbage runs a full collection between untimed phases, so the
 // garbage of one phase is not collected inside the next one's timers.
 func collectGarbage() { runtime.GC() }
+
+// allocBytes is the process's cumulative heap allocation in bytes.
+func allocBytes() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}

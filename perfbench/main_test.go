@@ -21,7 +21,6 @@ func tinyConfig(t *testing.T, workload string, traced bool) config {
 	cfg.chunk = 256
 	cfg.sample = 1024
 	cfg.readGap = 5 * time.Millisecond
-	cfg.rate = 20000
 	cfg.batch = 64
 	cfg.readEvery = 4
 	return cfg
@@ -97,6 +96,33 @@ func TestOpenLoopStallInflatesLaterLatency(t *testing.T) {
 	}
 }
 
+// TestClosedLoopDueAtPreviousDone checks that an interval of 0 makes the
+// loop closed: each request is due when the previous one completes, so a
+// stall counts against the stalled request only.
+func TestClosedLoopDueAtPreviousDone(t *testing.T) {
+	const stall = 30 * time.Millisecond
+	slots, err := openLoop(context.Background(), time.Now(), 0, 3, func(i int, _ *slot) error {
+		if i == 1 {
+			time.Sleep(stall)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(slots); i++ {
+		if !slots[i].due.Equal(slots[i-1].done) {
+			t.Errorf("slot %d due %v, previous done %v", i, slots[i].due, slots[i-1].done)
+		}
+	}
+	if got := slots[1].latency(); got < stall {
+		t.Errorf("stalled slot latency %v, want >= %v", got, stall)
+	}
+	if got := slots[2].latency(); got >= stall {
+		t.Errorf("slot after the stall has latency %v: the stall leaked into it", got)
+	}
+}
+
 // TestTracerSelfTime checks that a span's self time excludes its
 // children.
 func TestTracerSelfTime(t *testing.T) {
@@ -115,8 +141,9 @@ func TestTracerSelfTime(t *testing.T) {
 	}
 }
 
-// TestSelectMetricsRejectsMissing checks that a run missing a declared
-// metric produces no result.
+// TestSelectMetricsRejectsMissing checks that a run missing a declared or
+// a printed-only metric produces no result, and that printed-only metrics
+// stay out of the result line.
 func TestSelectMetricsRejectsMissing(t *testing.T) {
 	all := map[string]metric{}
 	for _, s := range endToEnd[1:] {
@@ -126,7 +153,17 @@ func TestSelectMetricsRejectsMissing(t *testing.T) {
 		t.Fatal("selectMetrics accepted a result without setup_s")
 	}
 	all[endToEnd[0].name] = metric{1, endToEnd[0].unit}
-	if _, err := selectMetrics(all, false); err != nil {
+	if _, err := selectMetrics(all, false); err == nil {
+		t.Fatal("selectMetrics accepted a result without the printed-only metrics")
+	}
+	for _, s := range printedOnly {
+		all[s.name] = metric{1, s.unit}
+	}
+	got, err := selectMetrics(all, false)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != len(endToEnd) {
+		t.Errorf("result line has %d metrics, want the %d declared", len(got), len(endToEnd))
 	}
 }

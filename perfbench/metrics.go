@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -17,15 +18,22 @@ var endToEnd = []metricSpec{
 	{"setup_s", "s"},
 	{"update_rate", "changes/s"},
 	{"apply_p50_us", "us"},
-	{"apply_p99_us", "us"},
 	{"ack_p50_ms", "ms"},
-	{"ack_p99_ms", "ms"},
 	{"visible_p50_ms", "ms"},
-	{"visible_p99_ms", "ms"},
 	{"read_p50_ms", "ms"},
 	{"read_p90_ms", "ms"},
 	{"adjustments_per_update", "count"},
 	{"mem_bytes_per_node", "B"},
+}
+
+// printedOnly are end-to-end metrics that every untraced run measures and
+// prints for people, but that are not in the result line or in
+// BENCHMARK.json: over ten seeds on a shared 2-vCPU VM their spread
+// exceeded the largest bound a gated metric may have (see NOTES.md).
+var printedOnly = []metricSpec{
+	{"apply_p99_us", "us"},
+	{"ack_p99_ms", "ms"},
+	{"visible_p99_ms", "ms"},
 }
 
 // perLayer are the traced run's metrics, one or more per layer; NOTES.md
@@ -36,6 +44,7 @@ var perLayer = []metricSpec{
 	{"trace.encode_ns_per_change", "ns"},
 	{"trace.bytes_per_change", "B"},
 	{"core.apply_ns_per_change", "ns"},
+	{"core.alloc_bytes_per_change", "B"},
 	{"core.cascade_steps", "count"},
 	{"core.touched_slots", "count"},
 	{"core.flips", "count"},
@@ -45,6 +54,7 @@ var perLayer = []metricSpec{
 	{"shard.steals", "count"},
 	{"shard.handoffs", "count"},
 	{"shard.vs_template_ratio", "ratio"},
+	{"shard.alloc_bytes_per_change", "B"},
 	{"graph.bytes_per_node", "B"},
 	{"graph.spill_utilization", "ratio"},
 	{"graph.total_bytes", "B"},
@@ -65,22 +75,23 @@ var perLayer = []metricSpec{
 }
 
 // selectMetrics keeps exactly the metrics of the run's kind and checks
-// that each is present with its declared unit.
+// that each is present with its declared unit. An untraced run must also
+// have measured every printedOnly metric.
 func selectMetrics(all map[string]metric, traced bool) (map[string]metric, error) {
-	specs := endToEnd
+	specs, printed := endToEnd, printedOnly
 	if traced {
-		specs = perLayer
+		specs, printed = perLayer, nil
 	}
 	out := make(map[string]metric, len(specs))
 	var missing []string
-	for _, s := range specs {
+	for i, s := range slices.Concat(specs, printed) {
 		m, ok := all[s.name]
 		switch {
 		case !ok:
 			missing = append(missing, s.name)
 		case m.Unit != s.unit:
 			return nil, fmt.Errorf("metric %s has unit %q, want %q", s.name, m.Unit, s.unit)
-		default:
+		case i < len(specs):
 			out[s.name] = m
 		}
 	}

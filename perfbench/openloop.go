@@ -21,7 +21,9 @@ func (s slot) lateness() time.Duration { return s.sent.Sub(s.due) }
 // openLoop issues n requests one after another on one connection, request
 // i due at start + i*interval regardless of how earlier requests fared. A
 // request whose due time has passed — because an earlier one stalled — is
-// sent at once. do performs request i; an error from it ends the loop.
+// sent at once. An interval of 0 makes the loop closed: each request is
+// due when the previous one completes. do performs request i; an error
+// from it ends the loop.
 func openLoop(ctx context.Context, start time.Time, interval time.Duration, n int, do func(i int, s *slot) error) ([]slot, error) {
 	slots := make([]slot, n)
 	timer := time.NewTimer(0)
@@ -30,6 +32,9 @@ func openLoop(ctx context.Context, start time.Time, interval time.Duration, n in
 	for i := range slots {
 		s := &slots[i]
 		s.due = start.Add(time.Duration(i) * interval)
+		if interval == 0 && i > 0 {
+			s.due = slots[i-1].done
+		}
 		if wait := time.Until(s.due); wait > 0 {
 			timer.Reset(wait)
 			select {

@@ -71,13 +71,15 @@ const penaltySample = 2048
 
 // probeCore measures the template cascade: the same changes applied one
 // Apply at a time after a bulk load and after a per-change build, and the
-// paper's cost counters per update.
+// paper's cost counters and the heap bytes allocated per update. Each
+// engine has a subscriber attached, as in the timed phase.
 func probeCore(cfg config, build, sample []dynmis.Change, perChangeBuild bool, tr *tracer, out *outcome) error {
 	sample = sample[:min(len(sample), penaltySample)]
 	opts := []dynmis.Option{dynmis.WithSeed(cfg.seed), dynmis.WithEngine(dynmis.EngineTemplate), dynmis.WithInstrumentation()}
 	var (
 		lat   [2]samples
 		total [2]time.Duration
+		alloc [2]uint64
 		ctr   [2]metrics.Counters
 	)
 	for i, bulk := range []bool{true, false} {
@@ -90,8 +92,12 @@ func probeCore(cfg config, build, sample []dynmis.Change, perChangeBuild bool, t
 		if err := loadBuild(m, build, bulk); err != nil {
 			return err
 		}
+		eventClock(m)
 		m.ResetMetrics()
+		lat[i].d = make([]time.Duration, 0, len(sample))
+		tr.reserve(len(sample) + 1)
 		parent := tr.begin("core.probe", 0)
+		a0 := allocBytes()
 		for _, c := range sample {
 			t0 := time.Now()
 			if _, err := m.Apply(c); err != nil {
@@ -101,6 +107,7 @@ func probeCore(cfg config, build, sample []dynmis.Change, perChangeBuild bool, t
 			tr.record("core.apply", parent, t0, t1)
 			lat[i].add(t1.Sub(t0))
 		}
+		alloc[i] = allocBytes() - a0
 		tr.end(parent)
 		total[i] = lat[i].sum()
 		ctr[i], _ = m.Metrics()
@@ -110,7 +117,9 @@ func probeCore(cfg config, build, sample []dynmis.Change, perChangeBuild bool, t
 	if perChangeBuild {
 		own = 1
 	}
-	out.set("core.apply_ns_per_change", "ns", float64(total[own].Nanoseconds())/float64(len(sample)))
+	n := float64(len(sample))
+	out.set("core.apply_ns_per_change", "ns", float64(total[own].Nanoseconds())/n)
+	out.set("core.alloc_bytes_per_change", "B", float64(alloc[own])/n)
 	per := ctr[own].PerUpdate()
 	out.set("core.cascade_steps", "count", per.CascadeSteps)
 	out.set("core.touched_slots", "count", per.TouchedSlots)
@@ -142,11 +151,13 @@ const probeWindow = 512
 
 // probeShard drives the sample in 512-change windows through the sharded
 // engine (shards = nproc) and through the template engine's ApplyBatch,
-// both bulk-loaded, and reports the sharded engine's hand-off counters per
-// window and its time relative to the template engine's.
+// both bulk-loaded and with a subscriber attached. It reports the sharded
+// engine's hand-off counters per window, its heap bytes allocated per
+// change, and its time relative to the template engine's.
 func probeShard(cfg config, build, sample []dynmis.Change, tr *tracer, out *outcome) error {
 	var wall [2]time.Duration
 	var windows int
+	var alloc uint64
 	for i, opts := range [][]dynmis.Option{
 		{dynmis.WithEngine(dynmis.EngineSharded), dynmis.WithShards(nproc()), dynmis.WithInstrumentation()},
 		{dynmis.WithEngine(dynmis.EngineTemplate)},
@@ -160,9 +171,12 @@ func probeShard(cfg config, build, sample []dynmis.Change, tr *tracer, out *outc
 		if err := loadBuild(m, build, true); err != nil {
 			return err
 		}
+		eventClock(m)
 		m.ResetMetrics()
 		name := [2]string{"shard.window", "core.window"}[i]
 		windows = 0
+		tr.reserve(len(sample)/probeWindow + 1)
+		a0 := allocBytes()
 		for lo := 0; lo < len(sample); lo += probeWindow {
 			w := sample[lo:min(lo+probeWindow, len(sample))]
 			t0 := time.Now()
@@ -175,6 +189,7 @@ func probeShard(cfg config, build, sample []dynmis.Change, tr *tracer, out *outc
 			windows++
 		}
 		if i == 0 {
+			alloc = allocBytes() - a0
 			c, _ := m.Metrics()
 			perWindow := func(v uint64) float64 { return float64(v) / float64(windows) }
 			out.set("shard.cross_shard", "count", perWindow(c.CrossShard))
@@ -182,6 +197,7 @@ func probeShard(cfg config, build, sample []dynmis.Change, tr *tracer, out *outc
 			out.set("shard.handoffs", "count", perWindow(c.Handoffs))
 		}
 	}
+	out.set("shard.alloc_bytes_per_change", "B", float64(alloc)/float64(len(sample)))
 	out.set("shard.vs_template_ratio", "ratio", wall[0].Seconds()/wall[1].Seconds())
 	return nil
 }
@@ -202,7 +218,8 @@ func daemonConfig(seed uint64, walPath string) server.Config {
 // daemon's configuration ingests the build, then the sample, in batches
 // through Server.Ingest. A second server without a WAL ingests the same
 // batches, which prices the WAL. Reads time Server.ServeHTTP for /v1/mis
-// through a recorder.
+// through a recorder. The server's own account (WAL bytes, fsyncs,
+// events, snapshots) is taken from a daemon instead; see setDaemonMetrics.
 func probeServer(cfg config, build, sample []dynmis.Change, tr *tracer, out *outcome) error {
 	dir, err := os.MkdirTemp(cfg.work, "inproc-")
 	if err != nil {
@@ -256,13 +273,7 @@ func probeServer(cfg config, build, sample []dynmis.Change, tr *tracer, out *out
 		return err
 	}
 	defer srv.Close()
-	mz := srv.Metricsz()
-	accepted := float64(mz.ChangesAccepted)
 	out.set("server.ingest_ms_per_batch", "ms", ms(lat.quantile(0.5)))
-	out.set("server.wal_bytes_per_change", "B", float64(mz.WALBytes)/accepted)
-	out.set("server.fsyncs_per_batch", "count", float64(mz.WALFsyncs)/float64(len(buildBatches)+len(batches)))
-	out.set("server.events_per_change", "count", float64(mz.EventsPublished)/accepted)
-	out.set("server.snapshots", "count", float64(mz.Snapshots))
 
 	var reads []float64
 	for range 21 {
@@ -282,97 +293,20 @@ func probeServer(cfg config, build, sample []dynmis.Change, tr *tracer, out *out
 }
 
 // probeDaemon measures the cmd/dynmisd process on a library workload's
-// inputs: a daemon with its defaults ingests the build, then the sample,
-// in POST /v1/changes batches one after another on one connection, while
-// a subscriber holds /v1/events open on a second. It reports the daemon's
-// CPU per ingested change and peak RSS from /proc, the HTTP share of an
-// acknowledgment, and how long after its ack a batch's last event
-// arrives. It runs after probeServer, whose ingest time it subtracts.
+// inputs: a daemon with its defaults ingests the build, then the sample's
+// batches in a closed loop, through the same timed phase and correctness
+// gate as serve-powerlaw. It runs after probeServer (see
+// setDaemonMetrics).
 func probeDaemon(ctx context.Context, cfg config, build, sample []dynmis.Change, tr *tracer, out *outcome) error {
-	dir, err := os.MkdirTemp(cfg.work, "daemon-")
+	posts := len(splitBatches(sample, cfg.batch))
+	dr, err := serveDaemon(ctx, cfg, build, sample, closedSchedule(posts), 1, tr)
 	if err != nil {
-		return err
+		return fmt.Errorf("daemon probe: %w", err)
 	}
-	defer os.RemoveAll(dir)
-	bin, err := buildDaemon(ctx, cfg.root, dir)
-	if err != nil {
-		return err
+	if dr.timed.failed > 0 {
+		return fmt.Errorf("daemon probe: %d changes or requests failed", dr.timed.failed)
 	}
-	buildBodies, err := encodeBatches(splitBatches(build, cfg.batch))
-	if err != nil {
-		return err
-	}
-	bodies, err := encodeBatches(splitBatches(sample, cfg.batch))
-	if err != nil {
-		return err
-	}
-	collectGarbage()
-	d, err := startDaemon(ctx, bin, dir, cfg.seed)
-	if err != nil {
-		return err
-	}
-	defer d.kill()
-	if err := ingestBuild(ctx, d.base, buildBodies); err != nil {
-		return err
-	}
-	load, subClient := newClient(), newClient()
-	defer load.CloseIdleConnections()
-	defer subClient.CloseIdleConnections()
-	state0, seq0, err := getState(ctx, load, d.base)
-	if err != nil {
-		return err
-	}
-	sub, err := subscribe(ctx, subClient, d.base, seq0, state0)
-	if err != nil {
-		return err
-	}
-	defer sub.close()
-
-	var (
-		acks, delivery samples
-		seqs           []uint64
-		ackedAt        []time.Time
-	)
-	for _, body := range bodies {
-		t0 := time.Now()
-		res, err := postChanges(ctx, load, d.base, body)
-		t1 := time.Now()
-		if err != nil {
-			return err
-		}
-		if res.Rejected > 0 {
-			return fmt.Errorf("daemon probe: %d changes rejected: %v", res.Rejected, res.Errors)
-		}
-		tr.record("dynmisd.post", 0, t0, t1)
-		acks.add(t1.Sub(t0))
-		seqs, ackedAt = append(seqs, res.Seq), append(ackedAt, t1)
-	}
-	if len(seqs) > 0 {
-		if err := sub.waitFor(seqs[len(seqs)-1], 30*time.Second); err != nil {
-			return fmt.Errorf("daemon probe: %w", err)
-		}
-	}
-	prev := seq0
-	for i, seq := range seqs {
-		if seq > prev {
-			if got, ok := sub.arrival(seq); ok {
-				delivery.add(got.Sub(ackedAt[i]))
-			}
-		}
-		prev = seq
-	}
-	cpu, err := procCPU(d.pid())
-	if err != nil {
-		return err
-	}
-	rss, err := procPeakRSSMB(d.pid())
-	if err != nil {
-		return err
-	}
-	out.set("dynmisd.cpu_us_per_change", "us", us(cpu)/float64(len(build)+len(sample)))
-	out.set("dynmisd.peak_rss_mb", "MB", rss)
-	out.set("server.http_overhead_ms", "ms", ms(acks.quantile(0.5))-out.metrics["server.ingest_ms_per_batch"].Value)
-	out.set("server.delivery_ms", "ms", ms(delivery.quantile(0.5)))
+	setDaemonMetrics(out, &dr.timed)
 	return nil
 }
 

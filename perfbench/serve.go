@@ -12,25 +12,30 @@ import (
 	"dynmis/metrics"
 )
 
-// schedule is serve-powerlaw's open loop: slots at a fixed interval, every
-// readEvery-th one a GET /v1/mis and the others one POST /v1/changes of
-// batch changes each, so that the offered change rate is cfg.rate.
+// schedule is the request sequence of a daemon's timed phase: slots at a
+// fixed interval, every readEvery-th one a GET /v1/mis (none when
+// readEvery is 0) and the others one POST /v1/changes of batch changes
+// each. An interval of 0 makes the loop closed (see openLoop).
 type schedule struct {
 	interval    time.Duration
 	slots, post int
 	readEvery   int
 }
 
+// newSchedule is serve-powerlaw's open loop, offering servedRate changes/s.
 func newSchedule(cfg config, seconds time.Duration) schedule {
 	perSlot := float64(cfg.batch) * float64(cfg.readEvery-1) / float64(cfg.readEvery)
-	interval := time.Duration(perSlot / cfg.rate * float64(time.Second))
+	interval := time.Duration(perSlot / servedRate * float64(time.Second))
 	slots := int(seconds / interval)
 	return schedule{interval: interval, slots: slots, post: slots - slots/cfg.readEvery, readEvery: cfg.readEvery}
 }
 
-func (s schedule) isRead(i int) bool { return i%s.readEvery == s.readEvery-1 }
+// closedSchedule posts n batches one after another, with no reads.
+func closedSchedule(n int) schedule { return schedule{slots: n, post: n} }
 
-// serveTimed accumulates the timed phase of serve-powerlaw.
+func (s schedule) isRead(i int) bool { return s.readEvery > 0 && i%s.readEvery == s.readEvery-1 }
+
+// serveTimed accumulates the timed phase of a daemon.
 type serveTimed struct {
 	ack, visible, read, lateness, delivery samples
 	tracedAck, plainAck                    samples
@@ -47,6 +52,69 @@ type serveTimed struct {
 }
 
 func runServe(ctx context.Context, cfg config, tr *tracer) (*outcome, error) {
+	// Inputs: generated before any timer starts.
+	in, err := genInputs(libPowerLaw.scenario, cfg.seed, cfg.n, tr)
+	if err != nil {
+		return nil, err
+	}
+	defer in.stop()
+	sched := newSchedule(cfg, cfg.seconds)
+	drive := in.pull(sched.post * cfg.batch)
+	dr, err := serveDaemon(ctx, cfg, in.build, drive, sched, cfg.setups, tr)
+	if err != nil {
+		return nil, err
+	}
+	acc := &dr.timed
+
+	out := newOutcome()
+	out.attempted = acc.posts*cfg.batch + acc.read.len()
+	out.failed = acc.failed
+	out.set("setup_s", "s", median(dr.setups))
+	out.set("update_rate", "changes/s", float64(acc.accepted)/acc.wall.Seconds())
+	out.quantiles("apply", &dr.applied, us, "us", 0.99, "p99")
+	out.quantiles("ack", &acc.ack, ms, "ms", 0.99, "p99")
+	out.quantiles("visible", &acc.visible, ms, "ms", 0.99, "p99")
+	out.quantiles("read", &acc.read, ms, "ms", 0.90, "p90")
+	out.set("adjustments_per_update", "count", float64(acc.engine.Adjustments)/float64(max(acc.engine.Updates, 1)))
+	out.set("mem_bytes_per_node", "B", acc.mem.BytesPerNode)
+	out.note("open loop: %d slots every %v (%d posts of %d changes, %d reads), offered %d changes/s",
+		sched.slots, sched.interval, sched.post, cfg.batch, sched.slots-sched.post, servedRate)
+
+	if !cfg.trace {
+		return out, nil
+	}
+	out.set("workload.gen_ns_per_change", "ns", in.genNsPerChange())
+	out.set("harness.generator_lag_p99_ms", "ms", ms(acc.lateness.quantile(0.99)))
+	out.set("harness.trace_overhead", "ratio", acc.tracedAck.quantile(0.5).Seconds()/acc.plainAck.quantile(0.5).Seconds()-1)
+	setGraphMetrics(out, acc.mem.BytesPerNode, acc.mem.SpillUtilization, acc.mem.TotalBytes)
+	snapMs, err := timeSnapshot(dr.ref, tr)
+	if err != nil {
+		return nil, err
+	}
+	out.set("server.snapshot_ms", "ms", snapMs)
+	if err := probeLayers(ctx, cfg, in.build, drive[:min(cfg.sample, len(drive))], true, tr, out); err != nil {
+		return nil, err
+	}
+	setDaemonMetrics(out, acc)
+	return out, nil
+}
+
+// daemonRun is what serveDaemon hands back: the timed phase, the set-up
+// times in seconds, and the local reference replay with the latency of
+// each of its drive-phase Apply calls.
+type daemonRun struct {
+	timed   serveTimed
+	setups  []float64
+	ref     *dynmis.Maintainer
+	applied samples
+}
+
+// serveDaemon runs cmd/dynmisd on a workload's inputs. It builds the
+// binary, encodes the build and the drive, and replays both locally for
+// the correctness reference. Then it sets up setups daemons, each
+// ingesting the build; the last one serves the drive under sched. Every
+// daemon is killed and its directory removed on every path.
+func serveDaemon(ctx context.Context, cfg config, build, drive []dynmis.Change, sched schedule, setups int, tr *tracer) (*daemonRun, error) {
 	runDir, err := os.MkdirTemp(cfg.work, "serve-")
 	if err != nil {
 		return nil, err
@@ -56,16 +124,7 @@ func runServe(ctx context.Context, cfg config, tr *tracer) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Inputs: generated and encoded before any timer starts.
-	in, err := genInputs(libPowerLaw.scenario, cfg.seed, cfg.n, tr)
-	if err != nil {
-		return nil, err
-	}
-	defer in.stop()
-	sched := newSchedule(cfg, cfg.seconds)
-	drive := in.pull(sched.post * cfg.batch)
-	buildBodies, err := encodeBatches(splitBatches(in.build, cfg.batch))
+	buildBodies, err := encodeBatches(splitBatches(build, cfg.batch))
 	if err != nil {
 		return nil, err
 	}
@@ -74,69 +133,42 @@ func runServe(ctx context.Context, cfg config, tr *tracer) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(driveBatches) != sched.post {
+		return nil, fmt.Errorf("schedule has %d posts for %d batches", sched.post, len(driveBatches))
+	}
 
 	// The correctness reference: a local replay with the daemon's seed.
 	// It applies the changes one by one, as the daemon does, so it also
 	// times the engine's Apply on this workload.
-	ref, applied, err := replay(cfg.seed, cfg.n, in.build, drive, tr)
+	dr := &daemonRun{}
+	dr.ref, dr.applied, err = replay(cfg.seed, cfg.n, build, drive, tr)
 	if err != nil {
 		return nil, err
 	}
-	want := membership(ref)
+	want := membership(dr.ref)
 
-	// Set-up, cfg.setups times: exec the daemon and ingest the build
-	// closed-loop. The last daemon then serves the timed phase.
-	var (
-		acc    serveTimed
-		setups []float64
-	)
-	for i := range cfg.setups {
-		timed := i == cfg.setups-1
+	for i := range setups {
+		timed := i == setups-1
 		setup, err := serveOnce(ctx, cfg, bin, filepath.Join(runDir, fmt.Sprintf("daemon-%d", i)), buildBodies, tr, func(d *daemon) error {
 			if !timed {
 				return nil
 			}
-			return acc.run(ctx, cfg, d, sched, driveBodies, driveBatches, want, tr)
+			return dr.timed.run(ctx, cfg, d, sched, driveBodies, driveBatches, want, tr)
 		})
 		if err != nil {
 			return nil, err
 		}
-		setups = append(setups, setup)
+		dr.setups = append(dr.setups, setup)
 	}
+	return dr, nil
+}
 
-	out := newOutcome()
-	out.attempted = acc.posts*cfg.batch + acc.read.len()
-	out.failed = acc.failed
-	out.set("setup_s", "s", median(setups))
-	out.set("update_rate", "changes/s", float64(acc.accepted)/acc.wall.Seconds())
-	out.quantiles("apply", &applied, us, "us", 0.99, "p99")
-	out.quantiles("ack", &acc.ack, ms, "ms", 0.99, "p99")
-	out.quantiles("visible", &acc.visible, ms, "ms", 0.99, "p99")
-	out.quantiles("read", &acc.read, ms, "ms", 0.90, "p90")
-	out.set("adjustments_per_update", "count", float64(acc.engine.Adjustments)/float64(max(acc.engine.Updates, 1)))
-	out.set("mem_bytes_per_node", "B", acc.mem.BytesPerNode)
-	out.note("open loop: %d slots every %v (%d posts of %d changes, %d reads), offered %.0f changes/s",
-		sched.slots, sched.interval, sched.post, cfg.batch, sched.slots-sched.post, cfg.rate)
-
-	if !cfg.trace {
-		return out, nil
-	}
-	out.set("workload.gen_ns_per_change", "ns", in.genNsPerChange())
-	out.set("harness.generator_lag_p99_ms", "ms", ms(acc.lateness.quantile(0.99)))
-	out.set("harness.trace_overhead", "ratio", acc.tracedAck.quantile(0.5).Seconds()/acc.plainAck.quantile(0.5).Seconds()-1)
-	out.set("dynmisd.cpu_us_per_change", "us", us(acc.cpu)/float64(max(acc.accepted, 1)))
-	out.set("dynmisd.peak_rss_mb", "MB", acc.peakRSS)
-	setGraphMetrics(out, acc.mem.BytesPerNode, acc.mem.SpillUtilization, acc.mem.TotalBytes)
-	snapMs, err := timeSnapshot(ref, tr)
-	if err != nil {
-		return nil, err
-	}
-	out.set("server.snapshot_ms", "ms", snapMs)
-	if err := probeLayers(ctx, cfg, in.build, drive[:min(cfg.sample, len(drive))], true, tr, out); err != nil {
-		return nil, err
-	}
-	// The daemon's own account replaces the in-process probe's where the
-	// daemon exports it.
+// setDaemonMetrics reports the per-layer figures of a daemon's timed
+// phase: the daemon's own /metricsz account, its CPU and peak RSS from
+// /proc, how long after its ack a batch's events arrive, and the HTTP
+// share of an ack. It runs after probeServer, whose in-process ingest
+// time it subtracts.
+func setDaemonMetrics(out *outcome, acc *serveTimed) {
 	changes := float64(acc.accepted)
 	out.set("server.wal_bytes_per_change", "B", float64(acc.walBytes)/changes)
 	out.set("server.fsyncs_per_batch", "count", float64(acc.fsyncs)/float64(acc.posts))
@@ -144,7 +176,8 @@ func runServe(ctx context.Context, cfg config, tr *tracer) (*outcome, error) {
 	out.set("server.snapshots", "count", float64(acc.snapshots))
 	out.set("server.delivery_ms", "ms", ms(acc.delivery.quantile(0.5)))
 	out.set("server.http_overhead_ms", "ms", ms(acc.ack.quantile(0.5))-out.metrics["server.ingest_ms_per_batch"].Value)
-	return out, nil
+	out.set("dynmisd.cpu_us_per_change", "us", us(acc.cpu)/changes)
+	out.set("dynmisd.peak_rss_mb", "MB", acc.peakRSS)
 }
 
 // serveOnce is one serve set-up: exec dynmisd with its WAL in dir and
@@ -171,7 +204,7 @@ func serveOnce(ctx context.Context, cfg config, bin, dir string, buildBodies [][
 	return t1.Sub(t0).Seconds(), then(d)
 }
 
-// run runs the timed phase against d: the open loop on one connection
+// run runs the timed phase against d: sched's requests on one connection
 // while a subscriber holds /v1/events open on a second, then the
 // correctness gate.
 func (acc *serveTimed) run(ctx context.Context, cfg config, d *daemon, sched schedule,
@@ -377,15 +410,17 @@ func replay(seed uint64, n int, build, drive []dynmis.Change, tr *tracer) (*dynm
 	if err := loadBuild(m, build, false); err != nil {
 		return nil, lat, err
 	}
+	parent := tr.begin("core.replay", 0)
 	for _, c := range drive {
 		t0 := time.Now()
 		_, err := m.Apply(c)
 		t1 := time.Now()
-		tr.record("core.apply", 0, t0, t1)
+		tr.record("core.apply", parent, t0, t1)
 		if err == nil {
 			lat.add(t1.Sub(t0))
 		}
 	}
+	tr.end(parent)
 	return m, lat, nil
 }
 

@@ -82,6 +82,14 @@ func (t *tracer) end(id int32) {
 	t.finish(*s)
 }
 
+// reserve makes room for n more spans, so that recording them allocates
+// nothing inside an interval whose allocations are being counted.
+func (t *tracer) reserve(n int) {
+	if t.on && len(t.spans) < maxStoredSpans {
+		t.spans = slices.Grow(t.spans, n)
+	}
+}
+
 // record adds a span whose interval the caller has already measured.
 func (t *tracer) record(name string, parent int32, start, end time.Time) {
 	if !t.on {

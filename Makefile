@@ -100,14 +100,20 @@ bench-big-smoke:
 	$(GO) run ./cmd/bench -big -big-n 100000 -big-steps 20000 -quick -serve-steps 0 \
 		-out /tmp/BENCH_dynmis_big_smoke.json
 
-# Allocation-regression gate: the steady-state churn benchmark must
-# report zero allocations per update once the arena and spill pool have
-# warmed up — the property that keeps long-running daemons flat. The
-# grep fails the target if the benchmark reports a nonzero allocs/op.
+# Allocation-regression gate: the steady-state churn benchmarks must
+# report zero allocations per update once the arena, the spill pool and
+# the engine's window scratch have warmed up — the property that keeps
+# long-running daemons flat. The storage layer is gated on its own, and
+# the template engine on per-change Apply after a bulk ApplyBatch with a
+# feed subscriber attached. The greps fail the target if either
+# benchmark reports a nonzero B/op or allocs/op.
 bench-alloc:
 	$(GO) test -run '^$$' -bench BenchmarkSteadyStateEdgeChurn -benchmem ./internal/graph | tee /tmp/bench_alloc.txt
 	@grep -E 'BenchmarkSteadyStateEdgeChurn.*\s0 B/op\s+0 allocs/op' /tmp/bench_alloc.txt >/dev/null \
 		|| { echo "bench-alloc: steady-state churn allocates (want 0 B/op, 0 allocs/op)"; exit 1; }
+	$(GO) test -run '^$$' -bench BenchmarkSteadyStateApplyAfterBulkLoad -benchmem ./internal/core | tee /tmp/bench_alloc_engine.txt
+	@grep -E 'BenchmarkSteadyStateApplyAfterBulkLoad.*\s0 B/op\s+0 allocs/op' /tmp/bench_alloc_engine.txt >/dev/null \
+		|| { echo "bench-alloc: template Apply after a bulk load allocates (want 0 B/op, 0 allocs/op)"; exit 1; }
 
 # Paper-claims validation: regenerates docs/VALIDATION.md by driving
 # the workload scenarios through all eight engines with complexity

@@ -114,6 +114,30 @@ func TestBatchInsertThenDeleteSameNode(t *testing.T) {
 	}
 }
 
+// TestBatchDepartAndReturnCountsOnceInS pins the window's flip account
+// when an MIS node departs and returns within one window: its departure
+// and its cascade promotion are two flips of one node, so |S| = 1, and
+// the net membership change is none.
+func TestBatchDepartAndReturnCountsOnceInS(t *testing.T) {
+	eng := NewTemplate(10)
+	if _, err := eng.Apply(graph.NodeChange(graph.NodeInsert, 1)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := eng.ApplyBatch([]graph.Change{
+		graph.NodeChange(graph.NodeDeleteAbrupt, 1),
+		graph.NodeChange(graph.NodeInsert, 1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Flips != 2 || rep.SSize != 1 || rep.Adjustments != 0 {
+		t.Errorf("depart-and-return window: flips=%d |S|=%d adjustments=%d, want 2, 1, 0", rep.Flips, rep.SSize, rep.Adjustments)
+	}
+	if !eng.InMIS(1) {
+		t.Error("returned node not back in the MIS")
+	}
+}
+
 // TestBatchAdjustmentsSublinear measures the batching benefit: recovering
 // once from k changes adjusts fewer nodes than k separate recoveries in
 // total (flip-and-flip-back work is skipped).

@@ -156,8 +156,9 @@ type Touched struct {
 // pre-window configuration against the current arena state. Untouched
 // nodes cannot have changed, so the result equals DiffStates/EmitDiff over
 // full before/after maps (the events still need PublishSorted for the
-// canonical node order).
-func DeltaFromTouched(g *graph.Graph, s State, touched map[graph.NodeID]Touched, emit bool) (adjustments int, evs []Event) {
+// canonical node order). The events are appended to evs, so a caller that
+// reuses its buffer assembles the delta without allocating.
+func DeltaFromTouched(g *graph.Graph, s State, touched map[graph.NodeID]Touched, emit bool, evs []Event) (adjustments int, _ []Event) {
 	for v, b := range touched {
 		i, present := g.Index(v)
 		switch {

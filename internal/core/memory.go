@@ -50,9 +50,15 @@ func ArenaMemory(g *graph.Graph, auxBytes int64) metrics.Memory {
 }
 
 // MemoryProfile accounts the template engine: the arena plus the
-// slot-indexed cascade scratch lanes, the ID-space window scratch and
-// the order's priority table. The touched/flips maps are O(window)
-// scratch cleared between windows and are deliberately not estimated.
+// slot-indexed cascade scratch lanes, the window scratch slices (frontier
+// and departures) and the order's priority table. The window scratch is
+// sized by the recent windows, not the largest window ever run:
+// ScratchSizer replaces it with fresh, empty containers once the windows
+// shrink, e.g. on the first Apply after a bulk ApplyBatch. The touched
+// map and the feed's event buffer are window scratch under the same
+// policy but are not estimated: a Go map's bucket capacity is not
+// observable, and the event buffer exists only while someone subscribes,
+// which would make the account depend on more than the change history.
 func (t *Template) MemoryProfile() metrics.Memory {
 	aux := int64(cap(t.seen))*8 +
 		int64(cap(t.flipCnt)+cap(t.flipped)+cap(t.cand)+cap(t.next)+cap(t.violated))*4 +

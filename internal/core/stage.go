@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dynmis/internal/graph"
 	"dynmis/internal/order"
@@ -42,8 +43,9 @@ func (s MapState) Has(v graph.NodeID) bool {
 // state mutations have been applied, and the recovery cascade still has to
 // run from the returned seeds.
 type Staged struct {
-	// Frontier holds the nodes whose MIS invariant the change may have
-	// violated — the candidate set S0 seeding the cascade (§3).
+	// Frontier is the caller's frontier with the change's seeds appended:
+	// the nodes whose MIS invariant the change may have violated — the
+	// candidate set S0 seeding the cascade (§3).
 	Frontier []graph.NodeID
 	// PreFlipped is the node that left the structure while in the MIS
 	// (a deleted or muted MIS node), or graph.None. The paper counts it
@@ -51,11 +53,6 @@ type Staged struct {
 	// departing, so it contributes one flip and one member of S even
 	// though it no longer exists to be cascaded over.
 	PreFlipped graph.NodeID
-	// Touched lists every node whose graph presence or membership the
-	// staging itself altered (the inserted or deleted node). Batch
-	// engines use it for exact adjustment accounting without a full
-	// state diff.
-	Touched []graph.NodeID
 }
 
 // StageChange validates c against g, applies its topology mutation, and
@@ -66,12 +63,15 @@ type Staged struct {
 // ord.Ensure in staging order, which is what makes engines with equal
 // seeds and equal change sequences bit-compatible).
 //
-// On a validation error nothing has been mutated.
-func StageChange(g *graph.Graph, ord *order.Order, state StateStore, c graph.Change) (Staged, error) {
+// The change's cascade seeds are appended to frontier, so a caller that
+// reuses its frontier buffer stages edge changes without allocating.
+// On a validation error nothing has been mutated and frontier is left
+// as it was.
+func StageChange(g *graph.Graph, ord *order.Order, state StateStore, c graph.Change, frontier []graph.NodeID) (Staged, error) {
 	if err := c.Validate(g); err != nil {
 		return Staged{}, err
 	}
-	st := Staged{PreFlipped: graph.None}
+	st := Staged{Frontier: frontier, PreFlipped: graph.None}
 
 	switch c.Kind {
 	case graph.EdgeInsert, graph.EdgeDeleteGraceful, graph.EdgeDeleteAbrupt:
@@ -84,7 +84,7 @@ func StageChange(g *graph.Graph, ord *order.Order, state StateStore, c graph.Cha
 		if !ord.Less(c.V, c.U) {
 			vstar = c.V
 		}
-		st.Frontier = []graph.NodeID{vstar}
+		st.Frontier = append(st.Frontier, vstar)
 
 	case graph.NodeInsert, graph.NodeUnmute:
 		if err := c.Apply(g); err != nil {
@@ -98,26 +98,28 @@ func StageChange(g *graph.Graph, ord *order.Order, state StateStore, c graph.Cha
 		// The inserted node starts with the temporary state M̄ (§4.1);
 		// only it can be violated.
 		state.Set(c.Node, Out)
-		st.Frontier = []graph.NodeID{c.Node}
-		st.Touched = []graph.NodeID{c.Node}
+		st.Frontier = append(st.Frontier, c.Node)
 
 	case graph.NodeDeleteGraceful, graph.NodeDeleteAbrupt, graph.NodeMute:
 		wasIn := state.Get(c.Node) == In
-		nbrs := g.Neighbors(c.Node)
+		if wasIn {
+			// Deleting an MIS node is the v* flip; its former neighbors
+			// (in ascending ID order) are the candidates of the next
+			// cascade layer. Deleting a non-MIS node violates no
+			// invariant: S = ∅.
+			i, _ := g.Index(c.Node)
+			for _, nb := range g.NeighborSlots(i) {
+				st.Frontier = append(st.Frontier, g.IDAt(int(nb)))
+			}
+			slices.Sort(st.Frontier[len(frontier):])
+			st.PreFlipped = c.Node
+		}
 		if err := c.Apply(g); err != nil {
 			return Staged{}, err
 		}
 		state.Delete(c.Node)
 		if c.Kind != graph.NodeMute {
 			ord.Drop(c.Node) // muted nodes keep their priority
-		}
-		st.Touched = []graph.NodeID{c.Node}
-		if wasIn {
-			// Deleting an MIS node is the v* flip; its former neighbors
-			// are the candidates of the next cascade layer. Deleting a
-			// non-MIS node violates no invariant: S = ∅.
-			st.PreFlipped = c.Node
-			st.Frontier = nbrs
 		}
 
 	default:

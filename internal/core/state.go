@@ -41,7 +41,9 @@ func (m Membership) String() string {
 // A node is "known" to the view exactly while it occupies a slot, which
 // makes presence queries free and guarantees — because the graph zeroes a
 // slot's lanes on free and on reallocation — that a recycled slot can never
-// surface a deleted node's membership.
+// surface a deleted node's membership. State writes only 0 (Out) and 1
+// (In) into the lane, so a slot's byte is its MIS indicator, which MIS
+// sums without branching.
 //
 // State is a view, not a container: copying it is free and every copy reads
 // and writes the same arena. It implements both StateStore (staging) and
@@ -97,15 +99,27 @@ func (s State) Delete(v graph.NodeID) {
 // InMIS reports whether v is currently in the MIS.
 func (s State) InMIS(v graph.NodeID) bool { return s.Get(v) == In }
 
-// MIS returns the sorted list of MIS members.
+// MIS returns the sorted list of MIS members. It costs O(slots + |MIS|):
+// two branch-free scans of the slot lanes, which State keeps at exactly 0
+// or 1 per slot (free slots read 0), and graph.SortIDs, whose radix
+// passes do not slow down as churn scrambles the slot order.
 func (s State) MIS() []graph.NodeID {
-	out := make([]graph.NodeID, 0, s.g.NodeCount())
-	for i := range s.g.Slots() {
-		if s.g.IDAt(i) != graph.None && s.g.StateAt(i) != 0 {
-			out = append(out, s.g.IDAt(i))
-		}
+	n := s.g.Slots()
+	members := 0
+	for i := range n {
+		members += int(s.g.StateAt(i))
 	}
-	slices.Sort(out)
+	// Every slot's ID is stored and the cursor advances past members
+	// only, so the loop has no data-dependent branch; the spare element
+	// takes the stores after the last member.
+	out := make([]graph.NodeID, members+1)
+	k := 0
+	for i := range n {
+		out[k] = s.g.IDAt(i)
+		k += int(s.g.StateAt(i))
+	}
+	out = out[:members]
+	graph.SortIDs(out)
 	return out
 }
 
@@ -129,7 +143,7 @@ func MISOf(state map[graph.NodeID]Membership) []graph.NodeID {
 			out = append(out, v)
 		}
 	}
-	slices.Sort(out)
+	graph.SortIDs(out)
 	return out
 }
 

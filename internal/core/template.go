@@ -41,7 +41,7 @@ type Template struct {
 	// Slot-indexed cascade scratch, reused across windows. seen carries a
 	// per-step epoch stamp (deduplicates candidates without a map);
 	// flipCnt/flipped record the cascade's flips sparsely so resetting is
-	// O(|S|), not O(n).
+	// O(|S|), not O(n). These lanes are O(slots) by design.
 	seen     []uint64
 	epoch    uint64
 	flipCnt  []int32
@@ -50,12 +50,13 @@ type Template struct {
 	next     []int32
 	violated []int32
 
-	// Window scratch.
+	// Window scratch, sized by the recent windows (see ScratchSizer).
+	sizer    ScratchSizer
 	one      [1]graph.Change
 	frontier []graph.NodeID
 	preFlips []graph.NodeID
 	touched  map[graph.NodeID]Touched
-	flips    map[graph.NodeID]int
+	evs      []Event
 }
 
 // Template implements the full engine surface plus the persistence and
@@ -83,7 +84,6 @@ func NewTemplateWithOrder(ord *order.Order) *Template {
 		ord:     ord,
 		state:   NewState(g),
 		touched: make(map[graph.NodeID]Touched),
-		flips:   make(map[graph.NodeID]int),
 	}
 }
 
@@ -138,9 +138,7 @@ func (t *Template) Apply(c graph.Change) (Report, error) {
 // happens, so Apply's contract — unchanged engine on validation error —
 // holds.
 func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
-	clear(t.touched)
-	t.frontier = t.frontier[:0]
-	t.preFlips = t.preFlips[:0]
+	t.resetScratch(len(cs))
 
 	var stageErr error
 	for i, c := range cs {
@@ -153,7 +151,7 @@ func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
 				t.touched[c.Node] = Touched{Present: t.g.HasNode(c.Node), M: t.state.Get(c.Node)}
 			}
 		}
-		staged, err := StageChange(t.g, t.ord, t.state, c)
+		staged, err := StageChange(t.g, t.ord, t.state, c, t.frontier)
 		if err != nil {
 			if batch {
 				err = fmt.Errorf("batch change %d: %w", i, err)
@@ -164,7 +162,7 @@ func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
 		if staged.PreFlipped != graph.None {
 			t.preFlips = append(t.preFlips, staged.PreFlipped)
 		}
-		t.frontier = append(t.frontier, staged.Frontier...)
+		t.frontier = staged.Frontier
 	}
 
 	steps, cerr := t.cascade(t.frontier)
@@ -181,17 +179,11 @@ func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
 		t.steps = steps
 	}
 
-	// Fold the cascade's flip records into the cost account and the
-	// touched set. A cascade flip only ever toggles, so a node's
-	// pre-cascade membership is its current one complemented iff its flip
-	// count is odd.
-	clear(t.flips)
-	for _, v := range t.preFlips {
-		t.flips[v] = 1
-	}
+	// Fold the cascade's flip records into the touched set. A cascade
+	// flip only ever toggles, so a node's pre-cascade membership is its
+	// current one complemented iff its flip count is odd.
 	for _, s := range t.flipped {
 		v := t.g.IDAt(int(s))
-		t.flips[v] += int(t.flipCnt[s])
 		if _, seen := t.touched[v]; !seen {
 			m := t.state.At(int(s))
 			if t.flipCnt[s]%2 == 1 {
@@ -201,18 +193,15 @@ func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
 		}
 	}
 
-	adj, evs := DeltaFromTouched(t.g, t.state, t.touched, t.feed.Active())
+	adj, evs := DeltaFromTouched(t.g, t.state, t.touched, t.feed.Active(), t.evs)
+	t.evs = evs[:0]
 	t.feed.PublishSorted(evs)
 	if stageErr != nil {
 		return Report{}, stageErr
 	}
 
-	var rep Report
+	rep := t.flipReport()
 	rep.Rounds = steps
-	rep.SSize = len(t.flips)
-	for _, n := range t.flips {
-		rep.Flips += n
-	}
 	rep.Adjustments = adj
 
 	// Instrumentation folds quantities already computed for the Report
@@ -230,16 +219,50 @@ func (t *Template) applyWindow(cs []graph.Change, batch bool) (Report, error) {
 	return rep, nil
 }
 
+// resetScratch readies the window scratch for a window of n changes:
+// the previous window's flip records are reset sparsely, then every
+// scratch map and slice is either emptied in place or, when ScratchSizer
+// judges it sized for far larger windows, dropped for a fresh one.
+func (t *Template) resetScratch(n int) {
+	for _, s := range t.flipped {
+		t.flipCnt[s] = 0
+	}
+	if t.sizer.Fresh(n, len(t.touched)) {
+		t.touched = make(map[graph.NodeID]Touched)
+		t.frontier, t.preFlips, t.evs = nil, nil, nil
+		t.flipped, t.cand, t.next, t.violated = nil, nil, nil, nil
+		return
+	}
+	clear(t.touched)
+	t.frontier, t.preFlips, t.flipped = t.frontier[:0], t.preFlips[:0], t.flipped[:0]
+}
+
+// flipReport counts the window's flips and the size of its influence set
+// S from the flip lanes: one flip per departing MIS node (preFlips) plus
+// each cascade-flipped slot's flip count. A node departs while in the MIS
+// at most once per window (staging re-inserts nodes Out), but it may be
+// re-inserted and flipped by the cascade, and S counts it once.
+func (t *Template) flipReport() Report {
+	var rep Report
+	rep.Flips = len(t.preFlips)
+	rep.SSize = len(t.preFlips) + len(t.flipped)
+	for _, v := range t.preFlips {
+		if i, ok := t.g.Index(v); ok && t.flipCnt[i] > 0 {
+			rep.SSize--
+		}
+	}
+	for _, s := range t.flipped {
+		rep.Flips += int(t.flipCnt[s])
+	}
+	return rep
+}
+
 // cascade runs the synchronous flip fixpoint starting from the given
 // candidate set, recording flips in the slot-indexed scratch. It returns
 // the number of synchronous steps in which at least one node flipped.
 func (t *Template) cascade(frontier []graph.NodeID) (int, error) {
-	// Reset the previous window's flip records sparsely, then make sure
-	// the slot-indexed scratch covers the arena.
-	for _, s := range t.flipped {
-		t.flipCnt[s] = 0
-	}
-	t.flipped = t.flipped[:0]
+	// Make sure the slot-indexed scratch covers the arena (the previous
+	// window's flip records were reset by resetScratch).
 	if n := t.g.Slots(); len(t.seen) < n {
 		t.seen = append(t.seen, make([]uint64, n-len(t.seen))...)
 		t.flipCnt = append(t.flipCnt, make([]int32, n-len(t.flipCnt))...)

@@ -530,6 +530,7 @@ func (g *Graph) NodeSeq() iter.Seq[NodeID] {
 }
 
 // Nodes returns all node IDs in ascending order. The slice is a copy.
+// It costs O(slots + n): one scan of the ID lane and SortIDs.
 func (g *Graph) Nodes() []NodeID {
 	out := make([]NodeID, 0, g.n)
 	for _, v := range g.ids {
@@ -537,7 +538,7 @@ func (g *Graph) Nodes() []NodeID {
 			out = append(out, v)
 		}
 	}
-	slices.Sort(out)
+	SortIDs(out)
 	return out
 }
 

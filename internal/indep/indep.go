@@ -72,7 +72,8 @@ type Engine struct {
 	feed  core.Feed
 	coll  *metrics.Collector // nil while instrumentation is disabled
 
-	// Window scratch.
+	// Window scratch, sized by the recent windows (see core.ScratchSizer).
+	sizer   core.ScratchSizer
 	one     [1]graph.Change
 	touched map[graph.NodeID]core.Touched
 	flipCnt map[graph.NodeID]int
@@ -181,8 +182,13 @@ func (e *Engine) ApplyAll(cs []graph.Change) (core.Report, error) {
 // join candidates, then account adjustments and the feed delta from the
 // touched set alone — O(touched), never O(n).
 func (e *Engine) applyWindow(cs []graph.Change, batch bool) (core.Report, error) {
-	clear(e.touched)
-	clear(e.flipCnt)
+	if e.sizer.Fresh(len(cs), len(e.touched)) {
+		e.touched = make(map[graph.NodeID]core.Touched)
+		e.flipCnt = make(map[graph.NodeID]int)
+	} else {
+		clear(e.touched)
+		clear(e.flipCnt)
+	}
 	e.flips, e.work = 0, 0
 
 	var stageErr error
@@ -206,7 +212,7 @@ func (e *Engine) applyWindow(cs []graph.Change, batch bool) (core.Report, error)
 	}
 	e.settle()
 
-	adj, evs := core.DeltaFromTouched(e.g, e.state, e.touched, e.feed.Active())
+	adj, evs := core.DeltaFromTouched(e.g, e.state, e.touched, e.feed.Active(), nil)
 	e.feed.PublishSorted(evs)
 	if stageErr != nil {
 		return core.Report{}, stageErr

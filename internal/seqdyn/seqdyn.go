@@ -42,7 +42,8 @@ type Engine struct {
 	feed core.Feed
 	coll *metrics.Collector // nil while instrumentation is disabled
 
-	// Window scratch.
+	// Window scratch, sized by the recent windows (see core.ScratchSizer).
+	sizer   core.ScratchSizer
 	one     [1]graph.Change
 	touched map[graph.NodeID]core.Touched
 	flips   int
@@ -145,7 +146,14 @@ func (e *Engine) ApplyAll(cs []graph.Change) (core.Report, error) {
 // applyWindow stages every change, runs one π-ordered settle pass, then
 // accounts the net adjustments and the feed delta from the touched set.
 func (e *Engine) applyWindow(cs []graph.Change, batch bool) (core.Report, error) {
-	clear(e.touched)
+	// The settle heap is empty between windows, so it is window scratch
+	// too.
+	if e.sizer.Fresh(len(cs), len(e.touched)) {
+		e.touched = make(map[graph.NodeID]core.Touched)
+		e.queue = nil
+	} else {
+		clear(e.touched)
+	}
 	e.flips, e.work = 0, 0
 
 	var stageErr error

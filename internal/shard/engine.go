@@ -317,7 +317,7 @@ func (e *Engine) ApplyBatch(cs []graph.Change) (core.Report, error) {
 				touched[c.Node] = core.Touched{Present: e.g.HasNode(c.Node), M: e.state.Get(c.Node)}
 			}
 		}
-		staged, err := core.StageChange(e.g, e.ord, e.state, c)
+		staged, err := core.StageChange(e.g, e.ord, e.state, c, seeds)
 		if err != nil {
 			e.runCascade(seeds)
 			e.account(touched, preFlipped)
@@ -326,7 +326,7 @@ func (e *Engine) ApplyBatch(cs []graph.Change) (core.Report, error) {
 		if staged.PreFlipped != graph.None {
 			preFlipped = append(preFlipped, staged.PreFlipped)
 		}
-		seeds = append(seeds, staged.Frontier...)
+		seeds = staged.Frontier
 	}
 
 	e.runCascade(seeds)
@@ -412,7 +412,7 @@ func (e *Engine) account(touched map[graph.NodeID]core.Touched, preFlipped []gra
 	// yields the window's change-feed delta, so a subscribed feed costs
 	// O(touched · log touched) (for the canonical node ordering), not
 	// O(n).
-	adj, evs := core.DeltaFromTouched(e.g, e.state, touched, e.feed.Active())
+	adj, evs := core.DeltaFromTouched(e.g, e.state, touched, e.feed.Active(), nil)
 	rep.Adjustments = adj
 	e.feed.PublishSorted(evs)
 	return rep

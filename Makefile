@@ -145,14 +145,18 @@ validate-adaptive-smoke:
 # (gupta-khan, aoss, sequential): per-window invariants, feed replay,
 # and slot recycling; the importer target checks that arbitrary edge
 # lists never panic the SNAP importer and that every accepted import
-# round-trips byte-identically. FUZZTIME scales all; fuzz-smoke is the
-# CI size.
+# round-trips byte-identically; the template-churn target checks the
+# template engine against the greedy oracle under arbitrary churn; the
+# dense-vs-reference target checks the slot arena against a map-based
+# reference graph. FUZZTIME scales all; fuzz-smoke is the CI size.
 FUZZTIME ?= 60s
 
 fuzz:
 	$(GO) test -fuzz=FuzzShardedEquivalence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/shard
 	$(GO) test -fuzz=FuzzCompetitorInvariant -fuzztime=$(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz=FuzzTraceImport -fuzztime=$(FUZZTIME) -run '^$$' ./trace/importer
+	$(GO) test -fuzz=FuzzTemplateChurn -fuzztime=$(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzDenseVsReference -fuzztime=$(FUZZTIME) -run '^$$' ./internal/graph
 
 fuzz-smoke:
 	@$(MAKE) fuzz FUZZTIME=30s

@@ -8,9 +8,7 @@ import (
 	"dynmis/internal/coloring"
 	"dynmis/internal/core"
 	"dynmis/internal/direct"
-	"dynmis/internal/expt"
 	"dynmis/internal/graph"
-	"dynmis/internal/luby"
 	"dynmis/internal/matching"
 	"dynmis/internal/order"
 	"dynmis/internal/protocol"
@@ -80,12 +78,6 @@ func BenchmarkAsyncDirectEdgeChange(b *testing.B) {
 	churnBench(b, eng.Apply, g, 4)
 }
 
-func BenchmarkLubyRecomputePerChange(b *testing.B) {
-	m := luby.NewMaintainer(5)
-	g := buildOn(b, m.ApplyAll, 500, 5)
-	churnBench(b, m.Apply, g, 5)
-}
-
 // BenchmarkProtocolNodeInsertDegree measures Lemma 10's O(d) broadcast
 // cost directly.
 func BenchmarkProtocolNodeInsertDegree32(b *testing.B) {
@@ -125,40 +117,6 @@ func BenchmarkGreedyOracle(b *testing.B) {
 		_ = core.GreedyMIS(g, order.New(uint64(i)))
 	}
 }
-
-// ---------------------------------------------------------------------
-// Experiment regeneration benchmarks: one per experiment table (E1-E14),
-// each regenerating its table at quick scale. `go test -bench=E` times
-// the entire reproduction pipeline.
-// ---------------------------------------------------------------------
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, err := expt.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(expt.Config{Seed: uint64(i + 1), Quick: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE1Adjustments(b *testing.B)      { benchExperiment(b, "E1") }
-func BenchmarkE2DirectRounds(b *testing.B)     { benchExperiment(b, "E2") }
-func BenchmarkE3AsyncDepth(b *testing.B)       { benchExperiment(b, "E3") }
-func BenchmarkE4ProtocolCosts(b *testing.B)    { benchExperiment(b, "E4") }
-func BenchmarkE5InsertionDegree(b *testing.B)  { benchExperiment(b, "E5") }
-func BenchmarkE6AbruptDeletion(b *testing.B)   { benchExperiment(b, "E6") }
-func BenchmarkE7LowerBound(b *testing.B)       { benchExperiment(b, "E7") }
-func BenchmarkE8StaticBaselines(b *testing.B)  { benchExperiment(b, "E8") }
-func BenchmarkE9Clustering(b *testing.B)       { benchExperiment(b, "E9") }
-func BenchmarkE10Star(b *testing.B)            { benchExperiment(b, "E10") }
-func BenchmarkE11Matching(b *testing.B)        { benchExperiment(b, "E11") }
-func BenchmarkE12Coloring(b *testing.B)        { benchExperiment(b, "E12") }
-func BenchmarkE13BroadcastBlowup(b *testing.B) { benchExperiment(b, "E13") }
-func BenchmarkE14BitComplexity(b *testing.B)   { benchExperiment(b, "E14") }
 
 func BenchmarkSeqdynEdgeChange(b *testing.B) {
 	eng := seqdyn.New(7)
@@ -260,10 +218,3 @@ func BenchmarkTemplateBatch16(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkE15Batch(b *testing.B)  { benchExperiment(b, "E15") }
-func BenchmarkE16Seqdyn(b *testing.B) { benchExperiment(b, "E16") }
-
-func BenchmarkE17History(b *testing.B)    { benchExperiment(b, "E17") }
-func BenchmarkE18Topologies(b *testing.B) { benchExperiment(b, "E18") }
-func BenchmarkE19Adversary(b *testing.B)  { benchExperiment(b, "E19") }

@@ -68,9 +68,7 @@ type Staged struct {
 // On a validation error nothing has been mutated and frontier is left
 // as it was.
 func StageChange(g *graph.Graph, ord *order.Order, state StateStore, c graph.Change, frontier []graph.NodeID) (Staged, error) {
-	if err := c.Validate(g); err != nil {
-		return Staged{}, err
-	}
+	// Every branch validates through c.Apply before mutating anything.
 	st := Staged{Frontier: frontier, PreFlipped: graph.None}
 
 	switch c.Kind {
@@ -101,13 +99,14 @@ func StageChange(g *graph.Graph, ord *order.Order, state StateStore, c graph.Cha
 		st.Frontier = append(st.Frontier, c.Node)
 
 	case graph.NodeDeleteGraceful, graph.NodeDeleteAbrupt, graph.NodeMute:
-		wasIn := state.Get(c.Node) == In
-		if wasIn {
+		// The departing node's neighbors are read before c.Apply
+		// validates; a node that is absent fails there, with nothing
+		// mutated.
+		if i, ok := g.Index(c.Node); ok && state.Get(c.Node) == In {
 			// Deleting an MIS node is the v* flip; its former neighbors
 			// (in ascending ID order) are the candidates of the next
 			// cascade layer. Deleting a non-MIS node violates no
 			// invariant: S = ∅.
-			i, _ := g.Index(c.Node)
 			for _, nb := range g.NeighborSlots(i) {
 				st.Frontier = append(st.Frontier, g.IDAt(int(nb)))
 			}

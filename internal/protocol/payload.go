@@ -75,7 +75,7 @@ const stateBits = 2
 // prioBits is the payload size of a full priority. The paper's ℓ_v ∈ [0,1]
 // is realized as a uint64; with the lazy bit-revelation option
 // (internal/bitorder) the expected cost drops to O(1) bits, which
-// experiment E14 measures separately.
+// that package's tests measure separately.
 const prioBits = 64
 
 // stateMsg announces a state change (rules 1-4). It is the protocol's

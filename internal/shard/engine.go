@@ -354,22 +354,16 @@ func (e *Engine) ApplyBatch(cs []graph.Change) (core.Report, error) {
 // and the per-worker flip records, in O(touched) rather than O(n), and
 // returns the per-slot flip lanes to all-zero for the next window.
 func (e *Engine) account(touched map[graph.NodeID]core.Touched, preFlipped []graph.NodeID) core.Report {
-	var rep core.Report
-
-	// preFlipped entries (nodes deleted while In) may repeat, and may
-	// collide with a cascade flip of the same node (deleted, re-inserted
-	// and flipped within one window). Cascade-flipped slots are unique by
-	// construction — flipCount transitions 0→1 exactly once per slot — so
-	// only this small set needs a dedup map for the |S| count.
-	var inS map[graph.NodeID]struct{}
-	if len(preFlipped) > 0 {
-		inS = make(map[graph.NodeID]struct{}, len(preFlipped))
-		for _, v := range preFlipped {
-			rep.Flips++
-			if _, dup := inS[v]; !dup {
-				inS[v] = struct{}{}
-				rep.SSize++
-			}
+	// |S| counts each departing MIS node (preFlipped) and each
+	// cascade-flipped slot once. Staging re-inserts nodes Out, so a node
+	// departs while In at most once per window; if it returned and the
+	// cascade flipped it too, it is already counted among the flipped
+	// slots. Cascade-flipped slots are unique by construction —
+	// flipCount transitions 0→1 exactly once per slot.
+	rep := core.Report{Flips: len(preFlipped), SSize: len(preFlipped)}
+	for _, v := range preFlipped {
+		if i, ok := e.g.Index(v); ok && e.flipCount[i] > 0 {
+			rep.SSize--
 		}
 	}
 
@@ -384,11 +378,7 @@ func (e *Engine) account(touched map[graph.NodeID]core.Touched, preFlipped []gra
 			}
 			e.flipCount[s] = 0
 			e.firstBefore[s] = 0
-			if inS == nil {
-				rep.SSize++
-			} else if _, dup := inS[v]; !dup {
-				rep.SSize++
-			}
+			rep.SSize++
 			// Cascade-flipped nodes that staging did not touch entered
 			// the window present, with the recorded pre-flip membership.
 			if _, seen := touched[v]; !seen {

@@ -161,6 +161,30 @@ func TestBatchValidationError(t *testing.T) {
 	}
 }
 
+// TestBatchDepartAndReturnCountsOnceInS pins the window's flip account
+// when an MIS node departs and returns within one window: its departure
+// and its cascade promotion are two flips of one node, so |S| = 1, and
+// the net membership change is none.
+func TestBatchDepartAndReturnCountsOnceInS(t *testing.T) {
+	e := New(10, 2)
+	if _, err := e.Apply(graph.NodeChange(graph.NodeInsert, 1)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := e.ApplyBatch([]graph.Change{
+		graph.NodeChange(graph.NodeDeleteAbrupt, 1),
+		graph.NodeChange(graph.NodeInsert, 1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Flips != 2 || rep.SSize != 1 || rep.Adjustments != 0 {
+		t.Errorf("depart-and-return window: flips=%d |S|=%d adjustments=%d, want 2, 1, 0", rep.Flips, rep.SSize, rep.Adjustments)
+	}
+	if !e.InMIS(1) {
+		t.Error("returned node not back in the MIS")
+	}
+}
+
 // Mute/unmute round-trips through windows, retaining priorities.
 func TestMuteUnmuteWindow(t *testing.T) {
 	e := New(21, 4)

@@ -1,6 +1,6 @@
-// Package stats provides the small statistical toolkit used by the
-// experiment harness: streaming moments (Welford), confidence intervals
-// and fixed-width table rendering.
+// Package stats provides the small statistical toolkit used by the CLIs
+// and the statistical tests: streaming moments (Welford), confidence
+// intervals and fixed-width table rendering.
 package stats
 
 import (

@@ -7,7 +7,7 @@ import (
 	"unicode/utf8"
 )
 
-// Table is a simple fixed-width text table for experiment output.
+// Table is a simple fixed-width text table for CLI output.
 type Table struct {
 	Title  string
 	Header []string

@@ -369,8 +369,8 @@ func (s Scenario) ClampNodes(n int) int {
 }
 
 // Instantiate materializes the scenario at the given seed and size. It is
-// the shared warm-up/drive construction used by cmd/bench, cmd/churnsim
-// and the experiment harness.
+// the shared warm-up/drive construction used by cmd/bench and
+// cmd/churnsim.
 func (s Scenario) Instantiate(seed uint64, n, steps int) Instance {
 	n = s.ClampNodes(n)
 	rng := Rand(seed)

@@ -12,7 +12,7 @@
 //	bench [-n 2000] [-steps 20000] [-shards 1,4,8] [-window 512]
 //	      [-gomaxprocs 1,2,4,8,16] [-scenarios churn,sliding-window]
 //	      [-engines sequential,sharded,gupta-khan] [-seed 42] [-quick]
-//	      [-min-speedup 1.0] [-record trace.jsonl] [-replay trace.jsonl]
+//	      [-min-speedup 1.0] [-replay trace.jsonl]
 //	      [-big] [-big-n 100000,1000000] [-big-steps 100000]
 //	      [-big-engines sequential,sharded,gupta-khan,aoss] [-mem]
 //	      [-out BENCH_dynmis.json]
@@ -40,15 +40,14 @@
 // adaptive-gk). An adaptive drive cannot be generated ahead of an
 // engine, so bench resolves it once against the template engine
 // (Maintainer.DriveInteractive) and benchmarks the captured stream —
-// every engine, and any -record'ed trace of it, replays the adversary's
-// realized decisions bit for bit. They are not in the default set, so
-// the committed BENCH_dynmis.json shape is unchanged unless asked for.
+// every engine replays the adversary's realized decisions bit for bit.
+// They are not in the default set, so the committed BENCH_dynmis.json
+// shape is unchanged unless asked for.
 //
-// -record captures the full ingested stream (warm-up + drive) of the
-// selected scenario as a dynmis/trace JSONL file; -replay benchmarks a
-// previously recorded trace instead of generating a workload, timing the
-// whole trace from the empty graph — the same bytes drive every engine,
-// bit for bit.
+// -replay benchmarks a recorded trace (cmd/dynmis -record, or an import
+// by cmd/traceimport) instead of generating a workload, timing the whole
+// trace from the empty graph — the same bytes drive every engine, bit
+// for bit.
 //
 // -min-speedup gates CI smoke runs: after benchmarking, exit nonzero
 // unless the headline sharded rate reaches the given multiple of the
@@ -58,7 +57,7 @@
 // city-scale geometric scenarios (workload.BigScenarios) at -big-n
 // sizes through the arena-backed engines, reporting the deterministic
 // bytes/node account and the process peak RSS per run — nothing is
-// materialized, so the tier runs at n=10^6 (make bench-big). -mem
+// materialized, so the tier runs at n=10^6 (make bench). -mem
 // additionally records post-GC live-heap deltas for every run in both
 // tiers.
 package main
@@ -180,7 +179,6 @@ func main() {
 		enginesCSV = flag.String("engines", "", "comma-separated subset of benchmark engines (default: all; valid: "+strings.Join(benchEngineNames, ", ")+")")
 		seed       = flag.Uint64("seed", 42, "random seed (engines and workload generation)")
 		quick      = flag.Bool("quick", false, "smoke-test sizes (n=300, steps=3000)")
-		record     = flag.String("record", "", "record the ingested stream (warm-up + drive) to this trace file; requires exactly one scenario")
 		replay     = flag.String("replay", "", "benchmark a recorded trace instead of generating workloads")
 		out        = flag.String("out", "BENCH_dynmis.json", "output JSON path")
 		serveSteps = flag.Int("serve-steps", 50000, "updates driven over the wire in the serve benchmark (0 disables it)")
@@ -199,9 +197,6 @@ func main() {
 		*n, *steps = 300, 3000
 		*serveSteps, *serveSubs = 5000, 8
 	}
-	if *record != "" && *replay != "" {
-		fatal(fmt.Errorf("-record and -replay are mutually exclusive"))
-	}
 
 	sel, err := parseEngines(*enginesCSV)
 	if err != nil {
@@ -210,15 +205,6 @@ func main() {
 	jobs, err := buildJobs(*scenCSV, *replay, *seed, *n, *steps)
 	if err != nil {
 		fatal(err)
-	}
-	if *record != "" {
-		if len(jobs) != 1 {
-			fatal(fmt.Errorf("-record needs exactly one scenario (have %d); pass -scenarios", len(jobs)))
-		}
-		if err := recordJob(*record, jobs[0]); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("recorded %d changes to %s\n", len(jobs[0].build)+len(jobs[0].drive), *record)
 	}
 	shardCounts, err := parseCounts(*shardsCSV, "-shards")
 	if err != nil {
@@ -523,10 +509,9 @@ func buildJobs(scenCSV, replay string, seed uint64, n, steps int) ([]job, error)
 // running its adversary engine-in-the-loop against the template engine
 // (DriveInteractive) and capturing the resolved change stream through
 // DriveObserver. The captured slice is an ordinary oblivious stream:
-// every benchmarked engine — and a -record'ed trace of it — replays the
-// adversary's realized decisions bit for bit, which is what makes
-// adaptive runs timeable on the same identical-stream footing as every
-// other scenario.
+// every benchmarked engine replays the adversary's realized decisions
+// bit for bit, which is what makes adaptive runs timeable on the same
+// identical-stream footing as every other scenario.
 func resolveAdaptive(sc workload.Scenario, seed uint64, n, steps int) (job, error) {
 	n = sc.ClampNodes(n)
 	rng := workload.Rand(seed)
@@ -555,20 +540,6 @@ func resolveAdaptive(sc workload.Scenario, seed uint64, n, steps int) (job, erro
 		build:       build,
 		drive:       drive,
 	}, nil
-}
-
-// recordJob writes the job's full ingested stream as a trace file.
-func recordJob(path string, jb job) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	stream := slices.Values(slices.Concat(jb.build, jb.drive))
-	if err := trace.WriteAll(f, stream); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // memFlag mirrors -mem: record noisy live-heap deltas alongside the

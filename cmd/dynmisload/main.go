@@ -48,7 +48,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "http://127.0.0.1:7070", "daemon base URL")
-		scenario  = flag.String("scenario", "churn", "workload scenario name")
+		scenario  = flag.String("scenario", "churn", "oblivious workload scenario name (workload.Scenarios)")
 		nodes     = flag.Int("nodes", 200, "scenario node budget")
 		steps     = flag.Int("steps", 50000, "drive-phase changes")
 		seed      = flag.Uint64("seed", 1, "workload seed (also the engine seed under -verify)")
@@ -75,6 +75,9 @@ func run(addr, scenario string, nodes, steps int, seed uint64, subs int, verify 
 		sc, ok := workload.ScenarioByName(scenario)
 		if !ok {
 			return fmt.Errorf("unknown scenario %q", scenario)
+		}
+		if sc.IsAdaptive() {
+			return fmt.Errorf("scenario %q is adaptive; dynmisload drives oblivious scenarios only", scenario)
 		}
 		inst := sc.Instantiate(seed, nodes, steps)
 		changes = slices.Concat(inst.Build, inst.Drive)

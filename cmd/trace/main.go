@@ -1,38 +1,33 @@
-// Command trace replays the paper's §3 worked example (or a random
-// scenario) through Algorithm 2 and prints the node states round by
-// round, making the C/R wave of the protocol visible:
+// Command trace replays the paper's §3 worked example (or a small
+// path, star or random scenario) through Algorithm 2 and prints the node
+// states round by round, making the C/R wave of the protocol visible:
 //
 //	$ go run ./cmd/trace
 //	stable:   0:M 1:M 2:M̄ 3:M 4:M̄ 5:M̄
 //	change:   edge-insert{0,1}
-//	round  1: 0:M 1:C 2:M̄ 3:M 4:M̄ 5:M̄
-//	round  2: 0:M 1:C 2:C 3:M 4:M̄ 5:C
+//	round  1: 0:M 1:M 2:M̄ 3:M 4:M̄ 5:M̄
+//	round  2: 0:M 1:C 2:M̄ 3:M 4:M̄ 5:M̄
+//	round  3: 0:M 1:C 2:C 3:M 4:M̄ 5:C
 //	...
 //
-// With -replay, the command instead streams a recorded dynmis/trace
-// JSONL file (made with `bench -record` or `churnsim -record`) through
-// the protocol engine via Maintainer.Drive and prints the membership
-// event feed — which nodes joined, left or flipped, change by change.
+// To drive whole workloads or recorded traces and watch their event
+// feed, use cmd/dynmis (-replay, -events).
 //
 // Usage:
 //
-//	trace [-scenario path|star|random] [-n 8] [-seed 1]
-//	trace -replay trace.jsonl [-seed 1] [-events 20]
+//	trace [-scenario paper|path|star|random] [-n 8] [-seed 1] [-dot out.dot]
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math/rand/v2"
 	"os"
 
-	"dynmis"
 	"dynmis/internal/graph"
 	"dynmis/internal/order"
 	"dynmis/internal/protocol"
 	"dynmis/internal/viz"
-	"dynmis/trace"
 	"dynmis/workload"
 )
 
@@ -42,18 +37,8 @@ func main() {
 		n        = flag.Int("n", 8, "size for path/star/random scenarios")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		dot      = flag.String("dot", "", "write a Graphviz DOT rendering of the final MIS to this file")
-		replayF  = flag.String("replay", "", "stream a recorded trace file through the engine and print its event feed")
-		events   = flag.Int("events", 20, "with -replay: print only the first N membership events (0 = all)")
 	)
 	flag.Parse()
-
-	if *replayF != "" {
-		if err := replayTrace(*replayF, *seed, *events); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	eng := protocol.New(*seed)
 	var change graph.Change
@@ -144,46 +129,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *dot)
 	}
-}
-
-// replayTrace streams a recorded change trace through a protocol-backed
-// maintainer and prints the membership event feed it produces — the
-// push-side view of the same recovery the round tracer shows.
-func replayTrace(path string, seed uint64, maxEvents int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	m := dynmis.MustNew(dynmis.WithSeed(seed))
-	printed := 0
-	m.Subscribe(func(ev dynmis.Event) {
-		if maxEvents > 0 && printed == maxEvents {
-			fmt.Println("... (further events elided; raise -events)")
-		}
-		printed++
-		if maxEvents > 0 && printed > maxEvents {
-			return
-		}
-		fmt.Printf("event %s\n", ev)
-	})
-
-	r := trace.NewReader(f)
-	sum, err := m.Drive(context.Background(), r.All())
-	if err != nil {
-		return err
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	fmt.Printf("\nreplayed %d changes: %d membership events, final |MIS|=%d, %v\n",
-		sum.Changes, printed, len(m.MIS()), sum)
-	if err := m.Verify(); err != nil {
-		return fmt.Errorf("VERIFICATION FAILED: %w", err)
-	}
-	fmt.Println("invariants verified")
-	return nil
 }
 
 func mustAll(eng *protocol.Engine, cs ...graph.Change) {

@@ -1,7 +1,7 @@
 // Command traceimport converts a SNAP-style edge list — the format
 // published graph datasets ship in — into a canonical dynmis-trace
 // JSONL file that every tool in the repo can replay (`bench -replay`,
-// `trace -replay`, `validate`, the server's ingestion endpoint).
+// `dynmis -replay`, the server's ingestion endpoint).
 //
 // The input is `u v` or `u v timestamp` lines with `#`/`%` comments;
 // with -window W, a temporal edge list becomes a sliding window: an

@@ -34,7 +34,7 @@ type ClusteringMaintainer = clustering.Maintainer
 // NewClustering returns a correlation clustering maintainer over the
 // empty graph.
 func NewClustering(opts ...Option) (*ClusteringMaintainer, error) {
-	cfg, err := resolve(EngineTemplate, opts)
+	cfg, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +50,7 @@ type MatchingMaintainer = matching.Maintainer
 
 // NewMatching returns a maximal matching maintainer over the empty graph.
 func NewMatching(opts ...Option) (*MatchingMaintainer, error) {
-	cfg, err := resolve(EngineTemplate, opts)
+	cfg, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,7 @@ type ColoringMaintainer = coloring.Maintainer
 // NewColoring returns a coloring maintainer with the given palette size
 // (≥ 2).
 func NewColoring(palette int, opts ...Option) (*ColoringMaintainer, error) {
-	cfg, err := resolve(EngineTemplate, opts)
+	cfg, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,9 @@
 // random greedy):
 //
 //   - EngineTemplate: the model-level cascade of the paper's Algorithm 1 —
-//     fastest, no communication accounting.
+//     fastest, no communication accounting. It is the default of New,
+//     Restore and the derived structures; select a message-passing
+//     engine with WithEngine to count rounds, broadcasts and bits.
 //   - EngineDirect: the direct distributed implementation (Corollary 6)
 //     over a synchronous broadcast network — 1 round in expectation, up to
 //     |S|² broadcasts.
@@ -312,8 +314,8 @@ type Option func(*config)
 // equal change sequences produce identical structures.
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
-// WithEngine selects the implementation (default EngineProtocol for New,
-// EngineTemplate for Restore and the derived structures).
+// WithEngine selects the implementation (default EngineTemplate, the
+// fastest engine, for New, Restore and the derived structures alike).
 func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 
 // WithLIFOScheduler makes the asynchronous engine deliver newest-first
@@ -418,11 +420,11 @@ func (c *config) build() core.Engine {
 	}
 }
 
-// resolve applies opts over a default configuration and validates the
-// result; it is the single option path shared by New, Restore and the
-// derived-structure constructors.
-func resolve(defaultEngine Engine, opts []Option) (config, error) {
-	cfg := config{seed: 1, engine: defaultEngine}
+// resolve applies opts over the default configuration (seed 1,
+// EngineTemplate) and validates the result; it is the single option path
+// shared by New, Restore and the derived-structure constructors.
+func resolve(opts []Option) (config, error) {
+	cfg := config{seed: 1, engine: EngineTemplate}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -481,7 +483,7 @@ func newMaintainer(impl core.Engine, cfg config) *Maintainer {
 // New returns a Maintainer over the empty graph, or an ErrInvalidOption
 // error for option values no engine can honor.
 func New(opts ...Option) (*Maintainer, error) {
-	cfg, err := resolve(EngineProtocol, opts)
+	cfg, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -706,7 +708,7 @@ func (m *Maintainer) Snapshot() (*Snapshot, error) {
 // engines return an error matching ErrSnapshotUnsupported. A WithSeed
 // option is ignored: the seed parameter wins.
 func Restore(s *Snapshot, seed uint64, opts ...Option) (*Maintainer, error) {
-	cfg, err := resolve(EngineTemplate, opts)
+	cfg, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,17 @@ func mustNew(t *testing.T, opts ...Option) *Maintainer {
 	return m
 }
 
+// New, like Restore and the derived structures, defaults to the
+// template engine: the fastest one, not the message-passing simulation.
+func TestNewDefaultsToTemplate(t *testing.T) {
+	if e := mustNew(t).Engine(); e != EngineTemplate {
+		t.Fatalf("New() engine = %v, want %v", e, EngineTemplate)
+	}
+	if e := mustNew(t, WithSeed(7)).Engine(); e != EngineTemplate {
+		t.Fatalf("New(WithSeed) engine = %v, want %v", e, EngineTemplate)
+	}
+}
+
 func TestFacadeEngines(t *testing.T) {
 	engines := []Engine{EngineTemplate, EngineDirect, EngineProtocol, EngineAsyncDirect, EngineSharded}
 	for _, eng := range engines {

@@ -254,7 +254,7 @@ func TestOptionValidation(t *testing.T) {
 		{"parallel on template", []Option{WithEngine(EngineTemplate), WithParallel(4)}},
 		{"parallel on sharded", []Option{WithEngine(EngineSharded), WithParallel(2)}},
 		{"shards on template", []Option{WithEngine(EngineTemplate), WithShards(4)}},
-		{"window on default protocol", []Option{WithWindow(64)}},
+		{"window on default engine", []Option{WithWindow(64)}},
 		{"unknown engine", []Option{WithEngine(Engine(42))}},
 	}
 	for _, tc := range cases {

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand/v2"
-	"strings"
 	"testing"
 )
 
@@ -22,25 +21,20 @@ func TestSeriesMoments(t *testing.T) {
 	if math.Abs(s.Var()-32.0/7.0) > 1e-12 {
 		t.Errorf("var = %v, want %v", s.Var(), 32.0/7.0)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("min/max = %v/%v", s.Min(), s.Max())
-	}
-	if math.Abs(s.Sum()-40) > 1e-12 {
-		t.Errorf("sum = %v", s.Sum())
+	// Standard error is the sample standard deviation over sqrt(n).
+	if want := math.Sqrt(32.0/7.0) / math.Sqrt(8); math.Abs(s.StdErr()-want) > 1e-12 {
+		t.Errorf("stderr = %v, want %v", s.StdErr(), want)
 	}
 }
 
 func TestSeriesEmptyAndSingle(t *testing.T) {
 	var s Series
-	if s.Mean() != 0 || s.Var() != 0 || s.StdErr() != 0 || s.CI95() != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.Var() != 0 || s.StdErr() != 0 {
 		t.Error("empty series should be all zeros")
 	}
 	s.ObserveInt(7)
-	if s.Mean() != 7 || s.Var() != 0 {
-		t.Errorf("single observation: mean=%v var=%v", s.Mean(), s.Var())
-	}
-	if s.String() == "" {
-		t.Error("String empty")
+	if s.N() != 1 || s.Mean() != 7 || s.Var() != 0 || s.StdErr() != 0 {
+		t.Errorf("single observation: n=%d mean=%v var=%v stderr=%v", s.N(), s.Mean(), s.Var(), s.StdErr())
 	}
 }
 
@@ -53,28 +47,11 @@ func TestSeriesCIShrinks(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		large.Observe(rng.Float64())
 	}
-	if large.CI95() >= small.CI95() {
-		t.Errorf("CI did not shrink: %v vs %v", large.CI95(), small.CI95())
+	// The confidence interval's half-width is proportional to StdErr.
+	if large.StdErr() >= small.StdErr() {
+		t.Errorf("standard error did not shrink: %v vs %v", large.StdErr(), small.StdErr())
 	}
 	if math.Abs(large.Mean()-0.5) > 0.02 {
 		t.Errorf("uniform mean = %v", large.Mean())
-	}
-}
-
-func TestTableRender(t *testing.T) {
-	tb := NewTable("E0: demo", "n", "mean adj", "note")
-	tb.AddRow(100, 1.0325, "ok")
-	tb.AddRow(2000, 0.98, "also ok")
-	var sb strings.Builder
-	tb.Render(&sb)
-	out := sb.String()
-	for _, want := range []string{"E0: demo", "mean adj", "1.032", "2000", "also ok", "---"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendered table missing %q:\n%s", want, out)
-		}
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 5 { // title, header, separator, 2 rows
-		t.Errorf("got %d lines:\n%s", len(lines), out)
 	}
 }

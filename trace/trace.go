@@ -13,8 +13,9 @@
 // fields are emitted when empty — so recording a replayed trace
 // reproduces the input byte for byte, and traces diff cleanly under
 // version control. Reader.All exposes a trace as an iterator assignable
-// to dynmis.Source; Tee records a Source as it is consumed, which is how
-// the cmd tools implement -record.
+// to dynmis.Source; Tee records a Source as it is consumed, and Writer
+// records from a drive observer (cmd/dynmis -record), so a recording holds
+// exactly the changes an engine applied.
 package trace
 
 import (
@@ -379,8 +380,7 @@ func WriteAll(w io.Writer, src iter.Seq[graph.Change]) error {
 // Tee records src as it is consumed: every change that passes through the
 // returned source is also written to w, and w is flushed when the source
 // is exhausted or abandoned. A recording error stops the stream early;
-// check w's next Flush for it. Tee is how -record flags capture exactly
-// the changes an engine actually ingested.
+// check w's next Flush for it.
 func Tee(src iter.Seq[graph.Change], w *Writer) iter.Seq[graph.Change] {
 	return func(yield func(graph.Change) bool) {
 		defer w.Flush()

@@ -121,8 +121,8 @@ func Scenarios() []Scenario {
 // adaptive-vs-oblivious differences come from the targeting alone. They
 // are not part of Scenarios(): an adaptive drive cannot be materialized
 // ahead of an engine, so the harnesses wire them through NewAdaptive +
-// DriveInteractive (cmd/bench resolves them against a template engine,
-// cmd/validate runs them engine-in-the-loop per engine).
+// DriveInteractive (cmd/bench resolves them against a template engine;
+// cmd/dynmis and cmd/validate run them engine-in-the-loop per engine).
 func AdaptiveScenarios() []Scenario {
 	build := func(rng *rand.Rand, n int) []graph.Change {
 		return GNP(rng, n, 8/float64(n))

@@ -27,9 +27,9 @@ import (
 // everywhere.
 const streamRand = 0xd15_c0de
 
-// Rand returns the canonical workload rng for a seed. All the repo's
-// tools (bench, churnsim, dynmis, trace) derive their workloads from it,
-// so equal seeds mean equal workloads across tools.
+// Rand returns the canonical workload rng for a seed. The scenario
+// tools (bench, dynmis, dynmisload, validate) derive their workloads
+// from it, so equal seeds mean equal workloads across tools.
 func Rand(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, streamRand))
 }
@@ -369,8 +369,10 @@ func (s Scenario) ClampNodes(n int) int {
 }
 
 // Instantiate materializes the scenario at the given seed and size. It is
-// the shared warm-up/drive construction used by cmd/bench and
-// cmd/churnsim.
+// the shared warm-up/drive construction of cmd/bench, cmd/dynmisload and
+// cmd/validate; cmd/dynmis builds the same workload lazily (Rand, Build,
+// Stream). It panics on adaptive scenarios, whose drive phase needs an
+// engine.
 func (s Scenario) Instantiate(seed uint64, n, steps int) Instance {
 	n = s.ClampNodes(n)
 	rng := Rand(seed)
